@@ -49,7 +49,7 @@ func (k *Kernel) Crash() {
 	k.kernels.wipe()
 	k.spaces.wipe()
 	k.threads.wipe()
-	k.pm = newPMap(k.Cfg.MappingSlots, k.Cfg.PMapBuckets)
+	k.pm.reset()
 	k.spaceByHW = make(map[*hw.Space]*SpaceObj)
 	k.kernelBySpace = make(map[*SpaceObj]*KernelObj)
 	k.first = nil
@@ -71,6 +71,8 @@ func (k *Kernel) corruptWriteback(e *hw.Exec, kind string, id ObjID) bool {
 		return false
 	}
 	k.Stats.WritebacksCorrupted++
-	k.trace(e, "chaos-corrupt-writeback", fmt.Sprintf("%s %v", kind, id))
+	if k.Trace != nil {
+		k.trace(e, "chaos-corrupt-writeback", fmt.Sprintf("%s %v", kind, id))
+	}
 	return true
 }

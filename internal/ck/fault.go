@@ -32,11 +32,15 @@ func (k *Kernel) AccessError(e *hw.Exec, va uint32, write bool, f hw.Fault) {
 		panic(fmt.Sprintf("ck: kernel %q has no designated space for fault handling", owner.attrs.Name))
 	}
 
-	k.trace(e, "fault", fmt.Sprintf("%v access at %#x in %v (%v)", f, va, so.id, e.Name))
+	if k.Trace != nil {
+		k.trace(e, "fault", fmt.Sprintf("%v access at %#x in %v (%v)", f, va, so.id, e.Name))
+	}
 	// Steps 1-2: save state, switch to the application kernel's space
 	// and exception stack, start the handler.
 	e.ChargeNoIntr(costFaultTransfer)
-	k.trace(e, "forward", fmt.Sprintf("state saved; switched to kernel %q handler", owner.attrs.Name))
+	if k.Trace != nil {
+		k.trace(e, "forward", fmt.Sprintf("state saved; switched to kernel %q handler", owner.attrs.Name))
+	}
 	prevSpace, prevMode := e.Space, e.Mode
 	e.Space = owner.space.hw
 	e.Mode = hw.ModeKernel
@@ -48,7 +52,9 @@ func (k *Kernel) AccessError(e *hw.Exec, va uint32, write bool, f hw.Fault) {
 	}
 
 	resume := owner.attrs.Fault(e, tid, so.id, va, write, f)
-	k.trace(e, "handled", fmt.Sprintf("handler returned resume=%v", resume))
+	if k.Trace != nil {
+		k.trace(e, "handled", fmt.Sprintf("handler returned resume=%v", resume))
+	}
 
 	if th != nil {
 		th.faultDepth--
@@ -111,7 +117,9 @@ func (k *Kernel) LoadMappingAndResume(e *hw.Exec, sid ObjID, spec MappingSpec) e
 	if err := k.loadMapping(e, sid, spec); err != nil {
 		return err
 	}
-	k.trace(e, "load+resume", fmt.Sprintf("mapping va=%#x pfn=%#x loaded; exception completed", spec.VA, spec.PFN))
+	if k.Trace != nil {
+		k.trace(e, "load+resume", fmt.Sprintf("mapping va=%#x pfn=%#x loaded; exception completed", spec.VA, spec.PFN))
+	}
 	e.ChargeNoIntr(costMappingLoadOptExtra)
 	if th := k.threadOf(e); th != nil && th.faultDepth > 0 {
 		th.optResumed = true

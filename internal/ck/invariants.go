@@ -180,6 +180,22 @@ func (k *Kernel) CheckInvariants() error {
 	if free := len(k.pm.free); free+live != k.pm.Capacity() {
 		return fmt.Errorf("invariant: pmap free %d + live %d != capacity %d", free, live, k.pm.Capacity())
 	}
+	// Everything at or above the issued mark is untouched, which is what
+	// lets reset skip it.
+	n := k.pm.Capacity()
+	for i := int(k.pm.issued); i < n; i++ {
+		if k.pm.used[i] || k.pm.recs[i] != (depRecord{}) {
+			return fmt.Errorf("invariant: pmap slot %d touched above issued mark %d", i, k.pm.issued)
+		}
+	}
+	if len(k.pm.free) < n-int(k.pm.issued) {
+		return fmt.Errorf("invariant: pmap free stack %d shorter than its untouched prefix %d", len(k.pm.free), n-int(k.pm.issued))
+	}
+	for j := 0; j < n-int(k.pm.issued); j++ {
+		if k.pm.free[j] != int32(n-1-j) {
+			return fmt.Errorf("invariant: pmap free-stack position %d below issued mark %d holds %d", j, k.pm.issued, k.pm.free[j])
+		}
+	}
 
 	// Ready queues hold only loaded, ready, unique threads.
 	seen := map[*ThreadObj]bool{}

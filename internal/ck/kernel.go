@@ -278,7 +278,9 @@ func (k *Kernel) FirstKernel() ObjID {
 	return k.first.id
 }
 
-// trace emits an event to the Trace hook if installed.
+// trace emits an event to the Trace hook if installed. Call sites that
+// format their detail string check k.Trace first: the formatting would
+// otherwise run on every fault and signal of an untraced kernel.
 func (k *Kernel) trace(e *hw.Exec, event, detail string) {
 	if k.Trace != nil {
 		var now uint64

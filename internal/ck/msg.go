@@ -16,7 +16,9 @@ import (
 // message-mode page at (va, pa).
 func (k *Kernel) MessageWrite(e *hw.Exec, va, pa uint32) {
 	k.Stats.SignalsGenerated++
-	k.trace(e, "signal-generate", fmt.Sprintf("write to message page va=%#x pa=%#x", va, pa))
+	if k.Trace != nil {
+		k.trace(e, "signal-generate", fmt.Sprintf("write to message page va=%#x pa=%#x", va, pa))
+	}
 	e.ChargeNoIntr(costSignalGenerate)
 	pfn := pa >> hw.PageShift
 	offset := pa & (hw.PageSize - 1)
@@ -86,12 +88,16 @@ func (k *Kernel) deliverSignal(to *ThreadObj, value uint32, nowHint uint64, e *h
 		v := f(to.id, value)
 		if v.Drop {
 			k.Stats.SignalsInjDropped++
-			k.trace(e, "chaos-drop-signal", fmt.Sprintf("to %v value=%#x", to.id, value))
+			if k.Trace != nil {
+				k.trace(e, "chaos-drop-signal", fmt.Sprintf("to %v value=%#x", to.id, value))
+			}
 			return
 		}
 		if v.Dup {
 			k.Stats.SignalsInjDuplicated++
-			k.trace(e, "chaos-dup-signal", fmt.Sprintf("to %v value=%#x", to.id, value))
+			if k.Trace != nil {
+				k.trace(e, "chaos-dup-signal", fmt.Sprintf("to %v value=%#x", to.id, value))
+			}
 			k.deliverSignalOnce(to, value, nowHint, e)
 		}
 	}
@@ -102,7 +108,9 @@ func (k *Kernel) deliverSignal(to *ThreadObj, value uint32, nowHint uint64, e *h
 // queues otherwise ("while the thread is running in its signal
 // function, additional signals are queued within the Cache Kernel").
 func (k *Kernel) deliverSignalOnce(to *ThreadObj, value uint32, nowHint uint64, e *hw.Exec) {
-	k.trace(e, "signal-deliver", fmt.Sprintf("to %v value=%#x", to.id, value))
+	if k.Trace != nil {
+		k.trace(e, "signal-deliver", fmt.Sprintf("to %v value=%#x", to.id, value))
+	}
 	if to.waitingSignal {
 		to.waitingSignal = false
 		to.sigPending = true

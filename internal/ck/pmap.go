@@ -69,6 +69,14 @@ type pmap struct {
 	live    int
 	hand    int32 // clock hand for replacement scans
 
+	// issued is one past the highest slot takeFree has handed out (or a
+	// restored capture names). The free stack pops from its top and
+	// starts as [n-1, ..., 0], so slots are first issued in ascending
+	// order: every slot at or above issued is untouched, and the bottom
+	// n-issued stack positions still hold their original values. reset
+	// uses it to undo only what a run touched.
+	issued int32
+
 	// used marks slots that have ever held a record; reloads counts
 	// insertions into such slots — the mapping cache's analog of the
 	// objCache reload counter (observability only, not accounted RAM).
@@ -96,18 +104,24 @@ func newPMap(capacity, buckets int) *pmap {
 // indistinguishable from newPMap(len(recs), len(buckets)) to every
 // reader, including the descending free-slot order and the cleared
 // used/reloads observability state, so a recycled pmap adopted by a
-// fork behaves byte-for-byte like a rebuilt one.
+// fork behaves byte-for-byte like a rebuilt one. Its cost is
+// proportional to the slots ever issued, not to the pool's capacity:
+// every non-empty hash chain is headed by a live record, and every live
+// record lies below the issued mark.
 func (p *pmap) reset() {
-	clear(p.recs)
-	clear(p.used)
-	for i := range p.buckets {
-		p.buckets[i] = -1
+	touched := p.recs[:p.issued]
+	for i := range touched {
+		if touched[i].kind() != depFree {
+			p.buckets[p.bucket(touched[i].key)] = -1
+		}
 	}
-	p.free = p.free[:0]
-	for i := len(p.recs) - 1; i >= 0; i-- {
-		p.free = append(p.free, int32(i))
+	clear(touched)
+	clear(p.used[:p.issued])
+	p.free = p.free[:len(p.recs)-int(p.issued)]
+	for i := p.issued - 1; i >= 0; i-- {
+		p.free = append(p.free, i)
 	}
-	p.live, p.hand, p.reloads = 0, 0, 0
+	p.live, p.hand, p.reloads, p.issued = 0, 0, 0, 0
 }
 
 func (p *pmap) bucket(key uint32) int32 {
@@ -136,6 +150,9 @@ func (p *pmap) takeFree() (int32, bool) {
 	}
 	idx := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
+	if idx >= p.issued {
+		p.issued = idx + 1
+	}
 	return idx, true
 }
 

@@ -326,33 +326,7 @@ func (k *Kernel) CaptureState() (*State, error) {
 		st.SpaceRecs = append(st.SpaceRecs, rec)
 		return true
 	})
-	st.PMap = PMapState{
-		NRecs:    int32(len(k.pm.recs)),
-		NBuckets: int32(len(k.pm.buckets)),
-		Live:     k.pm.live,
-		Hand:     k.pm.hand,
-		Reloads:  k.pm.reloads,
-	}
-	for i, used := range k.pm.used {
-		if !used {
-			continue
-		}
-		r := k.pm.recs[i]
-		st.PMap.Recs = append(st.PMap.Recs,
-			DepRec{Slot: int32(i), Key: r.key, Dep: r.dep, Ctx: r.ctx, Next: r.next})
-	}
-	n := len(k.pm.recs)
-	canon := 0
-	for canon < len(k.pm.free) && k.pm.free[canon] == int32(n-1-canon) {
-		canon++
-	}
-	st.PMap.FreeCanon = int32(canon)
-	st.PMap.FreeTail = append([]int32(nil), k.pm.free[canon:]...)
-	for b, head := range k.pm.buckets {
-		if head >= 0 {
-			st.PMap.Heads = append(st.PMap.Heads, BucketHead{Bucket: int32(b), Head: head})
-		}
-	}
+	st.PMap = k.pm.capture()
 	for _, r := range k.rtlbs {
 		rs := RTLBState{Entries: make([]RTLBEntryState, len(r.entries)), Next: r.next, Hits: r.hits, Misses: r.misses}
 		for i, e := range r.entries {
@@ -483,32 +457,9 @@ func (k *Kernel) RestoreState(st *State, bind func(name string) KernelAttrs) err
 	if err != nil {
 		return err
 	}
-	if int(st.PMap.NRecs) != len(k.pm.recs) || int(st.PMap.NBuckets) != len(k.pm.buckets) {
-		return fmt.Errorf("ck: restore: pmap geometry mismatch (%d/%d recs, %d/%d buckets)",
-			st.PMap.NRecs, len(k.pm.recs), st.PMap.NBuckets, len(k.pm.buckets))
+	if err := k.pm.restore(&st.PMap); err != nil {
+		return err
 	}
-	// The instance is fresh: every record zero, every bucket empty, the
-	// free stack full-canonical. Only the capture's deviations apply.
-	for _, r := range st.PMap.Recs {
-		if r.Slot < 0 || int(r.Slot) >= len(k.pm.recs) {
-			return fmt.Errorf("ck: restore: pmap record slot %d out of range", r.Slot)
-		}
-		k.pm.recs[r.Slot] = depRecord{key: r.Key, dep: r.Dep, ctx: r.Ctx, next: r.Next}
-		k.pm.used[r.Slot] = true
-	}
-	if int(st.PMap.FreeCanon) > len(k.pm.free) {
-		return fmt.Errorf("ck: restore: pmap free-stack prefix %d exceeds pool %d", st.PMap.FreeCanon, len(k.pm.free))
-	}
-	k.pm.free = append(k.pm.free[:st.PMap.FreeCanon], st.PMap.FreeTail...)
-	for _, h := range st.PMap.Heads {
-		if h.Bucket < 0 || int(h.Bucket) >= len(k.pm.buckets) {
-			return fmt.Errorf("ck: restore: pmap bucket %d out of range", h.Bucket)
-		}
-		k.pm.buckets[h.Bucket] = h.Head
-	}
-	k.pm.live = st.PMap.Live
-	k.pm.hand = st.PMap.Hand
-	k.pm.reloads = st.PMap.Reloads
 	if len(st.RTLBs) != len(k.rtlbs) {
 		return fmt.Errorf("ck: restore: %d reverse TLBs into %d processors", len(st.RTLBs), len(k.rtlbs))
 	}
@@ -562,4 +513,85 @@ func (k *Kernel) Resume(name string, prio int, body func(*hw.Exec)) (ObjID, erro
 	}
 	k.sched.dispatch(k.MPM.CPUs[0], to)
 	return to.id, nil
+}
+
+// capture returns the pmap's sparse state: used records (all below the
+// issued mark), non-empty chains and the canonical-prefix-compressed
+// free stack.
+func (p *pmap) capture() PMapState {
+	st := PMapState{
+		NRecs:    int32(len(p.recs)),
+		NBuckets: int32(len(p.buckets)),
+		Live:     p.live,
+		Hand:     p.hand,
+		Reloads:  p.reloads,
+	}
+	for i, used := range p.used[:p.issued] {
+		if !used {
+			continue
+		}
+		r := p.recs[i]
+		st.Recs = append(st.Recs,
+			DepRec{Slot: int32(i), Key: r.key, Dep: r.dep, Ctx: r.ctx, Next: r.next})
+	}
+	n := len(p.recs)
+	canon := 0
+	for canon < len(p.free) && p.free[canon] == int32(n-1-canon) {
+		canon++
+	}
+	st.FreeCanon = int32(canon)
+	st.FreeTail = append([]int32(nil), p.free[canon:]...)
+	for b, head := range p.buckets {
+		if head >= 0 {
+			st.Heads = append(st.Heads, BucketHead{Bucket: int32(b), Head: head})
+		}
+	}
+	return st
+}
+
+// restore overwrites a fresh (or reset) pmap with a captured state.
+func (p *pmap) restore(st *PMapState) error {
+	if int(st.NRecs) != len(p.recs) || int(st.NBuckets) != len(p.buckets) {
+		return fmt.Errorf("ck: restore: pmap geometry mismatch (%d/%d recs, %d/%d buckets)",
+			st.NRecs, len(p.recs), st.NBuckets, len(p.buckets))
+	}
+	if st.FreeCanon < 0 || int(st.FreeCanon) > len(p.free) {
+		return fmt.Errorf("ck: restore: pmap free-stack prefix %d exceeds pool %d", st.FreeCanon, len(p.free))
+	}
+	// The issued mark must cover every slot the capture may have
+	// touched: each slot the canonical prefix no longer holds, each
+	// record slot and each reclaimed slot on the tail. The prefix alone
+	// is not enough — a slot freed back into its original stack position
+	// extends the prefix past it.
+	issued := int32(len(p.recs)) - st.FreeCanon
+	for _, r := range st.Recs {
+		if r.Slot < 0 || int(r.Slot) >= len(p.recs) {
+			return fmt.Errorf("ck: restore: pmap record slot %d out of range", r.Slot)
+		}
+		issued = max(issued, r.Slot+1)
+	}
+	for _, idx := range st.FreeTail {
+		if idx < 0 || int(idx) >= len(p.recs) {
+			return fmt.Errorf("ck: restore: pmap free slot %d out of range", idx)
+		}
+		issued = max(issued, idx+1)
+	}
+	p.issued = issued
+	// The instance is fresh: every record zero, every bucket empty, the
+	// free stack full-canonical. Only the capture's deviations apply.
+	for _, r := range st.Recs {
+		p.recs[r.Slot] = depRecord{key: r.Key, dep: r.Dep, ctx: r.Ctx, next: r.Next}
+		p.used[r.Slot] = true
+	}
+	p.free = append(p.free[:st.FreeCanon], st.FreeTail...)
+	for _, h := range st.Heads {
+		if h.Bucket < 0 || int(h.Bucket) >= len(p.buckets) {
+			return fmt.Errorf("ck: restore: pmap bucket %d out of range", h.Bucket)
+		}
+		p.buckets[h.Bucket] = h.Head
+	}
+	p.live = st.Live
+	p.hand = st.Hand
+	p.reloads = st.Reloads
+	return nil
 }

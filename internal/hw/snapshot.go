@@ -82,32 +82,51 @@ type L2State struct {
 	Misses uint64
 }
 
-// State captures the cache.
+// State captures the cache, visiting only the chunks a run has touched.
 func (c *L2Cache) State() L2State {
-	st := L2State{NTags: int32(len(c.tags)), Hits: c.hits, Misses: c.misses}
-	for i, t := range c.tags {
-		if t != 0 {
-			st.Tags = append(st.Tags, L2Tag{Line: int32(i), Tag: t})
+	st := L2State{NTags: int32(c.lines), Hits: c.hits, Misses: c.misses}
+	for ci, ch := range c.chunks {
+		if ch == nil {
+			continue
+		}
+		base := int32(ci) << l2ChunkShift
+		for i, t := range ch {
+			if t != 0 {
+				st.Tags = append(st.Tags, L2Tag{Line: base + int32(i), Tag: t})
+			}
 		}
 	}
 	return st
 }
 
-// Restore overwrites the cache with a captured state.
+// Restore overwrites the cache with a captured state. Only chunks that
+// are present before the call or named by the capture are touched, so
+// restoring into a fresh cache costs what the capture holds.
 func (c *L2Cache) Restore(st L2State) error {
-	if int(st.NTags) != len(c.tags) {
-		return fmt.Errorf("hw: L2 restore size mismatch: %d tags into %d", st.NTags, len(c.tags))
+	if int64(st.NTags) != int64(c.lines) {
+		return fmt.Errorf("hw: L2 restore size mismatch: %d tags into %d", st.NTags, c.lines)
 	}
-	clear(c.tags)
+	c.FlushAll()
 	for _, t := range st.Tags {
-		if t.Line < 0 || int(t.Line) >= len(c.tags) {
+		if t.Line < 0 || uint32(t.Line) >= c.lines {
 			return fmt.Errorf("hw: L2 restore line %d out of range", t.Line)
 		}
-		c.tags[t.Line] = t.Tag
+		if t.Tag != 0 {
+			c.setTag(uint32(t.Line), t.Tag)
+		}
 	}
 	c.hits = st.Hits
 	c.misses = st.Misses
 	return nil
+}
+
+// hashTags feeds every line's tag, in line order, to w64 — the lines
+// of an absent chunk as zeros — so the digest is the one a dense tag
+// array would produce.
+func (c *L2Cache) hashTags(w64 func(uint64)) {
+	for idx := uint32(0); idx < c.lines; idx++ {
+		w64(uint64(c.tag(idx)))
+	}
 }
 
 // CPUState is one CPU's captured interrupt state: the pending-cause
@@ -243,9 +262,7 @@ func (m *Machine) StateDigest() uint64 {
 				w64(uint64(e.pte))
 			}
 		}
-		for _, tag := range mpm.L2.tags {
-			w64(uint64(tag))
-		}
+		mpm.L2.hashTags(w64)
 		w64(uint64(mpm.LocalRAM.Used()))
 	}
 	for pfn := uint32(0); pfn < m.Phys.Frames(); pfn++ {
