@@ -19,6 +19,13 @@
 //
 // On failure the full scenario is written to cksim-fail-<seed>.json
 // (and cksim-min-<seed>.json when shrinking); either file feeds -replay.
+// A seed whose run panics (a simulator defect rather than an oracle
+// verdict) is reported as FAIL with the panic message, gets its replay
+// file, and the sweep goes on; -shrink reduces it to a scenario that
+// panics with the same message. A sharded run recovers such a panic
+// only when it surfaces on the coordinator goroutine: one raised on a
+// shard worker goroutine (an epoch with two or more active shards)
+// still aborts the process.
 // All output derives from the virtual clock, so every invocation with
 // the same arguments prints the same bytes.
 package main
@@ -79,9 +86,31 @@ func main() {
 	}
 }
 
-func runOne(gen func(uint64) simtest.Scenario, seed uint64, shrink bool, shrinkRuns, shards int) int {
-	res := simtest.RunSharded(gen(seed), nil, shards)
+// runSeed runs one scenario, recovering a panic raised on this
+// goroutine into a failed result that carries the panic message. A
+// panic on a shard worker goroutine cannot be recovered here.
+func runSeed(sc simtest.Scenario, shards int) (res *simtest.Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			res = simtest.PanicResult(sc, p)
+		}
+	}()
+	return simtest.RunSharded(sc, nil, shards)
+}
+
+// printResult prints a run's fingerprint, or for a panicked run (which
+// has none) the seed and the panic message.
+func printResult(res *simtest.Result) {
+	if msg, ok := res.Panic(); ok {
+		fmt.Printf("seed %d\nFAIL panic: %s\n", res.Scenario.Seed, msg)
+		return
+	}
 	fmt.Print(res.Fingerprint())
+}
+
+func runOne(gen func(uint64) simtest.Scenario, seed uint64, shrink bool, shrinkRuns, shards int) int {
+	res := runSeed(gen(seed), shards)
+	printResult(res)
 	if !res.Failed() {
 		return 0
 	}
@@ -101,13 +130,15 @@ func runSweep(gen func(uint64) simtest.Scenario, start uint64, count int, shrink
 	const maxArtifacts = 3
 	for i := 0; i < count; i++ {
 		s := start + uint64(i)
-		res := simtest.RunSharded(gen(s), nil, shards)
+		res := runSeed(gen(s), shards)
 		sc := &res.Scenario
 		status := "ok"
 		if res.Failed() {
 			status = fmt.Sprintf("FAIL (%d: %s)", len(res.Failures), res.Failures[0].Oracle)
 		}
-		if o := res.Orch; o != nil {
+		if msg, ok := res.Panic(); ok {
+			fmt.Printf("seed %-6d %-22s %s\n", s, status, msg)
+		} else if o := res.Orch; o != nil {
 			fmt.Printf("seed %-6d %-22s mpms=%d pods=%d chaotic=%t mig=%d migfail=%d rst=%d makespan=%d blackout_max=%d hash=%016x\n",
 				s, status, sc.MPMs, sc.Orch.Pods, sc.Orch.Chaotic, o.Migrated, o.MigFailed,
 				o.Restarts, o.Makespan, o.BlackoutMax, res.Hash)
@@ -198,8 +229,8 @@ func runReplay(path string, shards int) int {
 		fmt.Fprintf(os.Stderr, "cksim: %v\n", err)
 		return 2
 	}
-	res := simtest.RunSharded(rep.Scenario, nil, shards)
-	fmt.Print(res.Fingerprint())
+	res := runSeed(rep.Scenario, shards)
+	printResult(res)
 	if res.Failed() {
 		fmt.Println("replay: failure reproduced")
 		return 1

@@ -2,6 +2,7 @@ package ckctl
 
 import (
 	"fmt"
+	"slices"
 
 	"vpp/internal/aklib"
 	"vpp/internal/ck"
@@ -285,14 +286,14 @@ func (n *Node) ensure(se *hw.Exec, c *command) error {
 			return err
 		}
 		pr.gen++
-		n.hosted[c.name] = pr
+		n.host(c.name, pr)
 		return nil
 	}
 	if pr == nil {
 		// Launched but unknown to the agent (lost host state would be a
 		// bug; the record is the ground truth, so re-adopt it).
 		pr = &podRec{spec: c.spec, pod: &Pod{Name: c.name}}
-		n.hosted[c.name] = pr
+		n.host(c.name, pr)
 	}
 	if c.fresh {
 		pr.pod.Beats, pr.pod.Done, pr.pod.AtHorizon = 0, false, false
@@ -346,7 +347,7 @@ func (n *Node) migrateOut(se *hw.Exec, c *command) {
 		fail(err)
 		return
 	}
-	delete(n.hosted, c.name)
+	n.unhost(c.name)
 	m := &migMsg{
 		name: c.name, rec: rec, pr: pr,
 		from: n.Idx, to: c.dst, execName: execName,
@@ -363,10 +364,10 @@ func (n *Node) adopt(se *hw.Exec, m *migMsg) {
 	// Host-side state first: if a crash lands mid-Adopt, the replayed
 	// agent still knows about the pod it was taking in (Adopt itself
 	// registers the records before reloading, for the same reason).
-	n.hosted[m.name] = m.pr
+	n.host(m.name, m.pr)
 	n.awaitFirst[m.execName] = m
 	if err := n.SRM.Adopt(se, m.rec); err != nil {
-		delete(n.hosted, m.name)
+		n.unhost(m.name)
 		delete(n.awaitFirst, m.execName)
 		n.cl.sendEvent(eng, se.Now(), event{migFail: &migFail{
 			name: m.name, from: m.from, to: m.to, stage: "adopt", err: err.Error(),
@@ -385,8 +386,9 @@ func (n *Node) report(se *hw.Exec) {
 		Load:       n.CK.CacheCounters().LoadScore(),
 		FreeGroups: n.SRM.FreeGroups(),
 		Recoveries: n.recoveries,
+		Kernels:    make([]kernelReport, 0, len(n.hostedOrder)),
 	}
-	for _, name := range n.hostedNames() {
+	for _, name := range n.hostedOrder {
 		pr := n.hosted[name]
 		rep.Kernels = append(rep.Kernels, kernelReport{
 			Name: name, State: n.podState(name, pr), Beats: pr.pod.Beats, Gen: pr.gen,
@@ -414,19 +416,22 @@ func (n *Node) podState(name string, pr *podRec) podState {
 	}
 }
 
-// hostedNames returns the hosted instance names in deterministic order.
-func (n *Node) hostedNames() []string {
-	names := make([]string, 0, len(n.hosted))
-	//ckvet:allow detmap keys are collected then sorted before use
-	for name := range n.hosted {
-		names = append(names, name)
+// host records pr as the hosted instance name, inserting a new name
+// into hostedOrder at its sorted position.
+func (n *Node) host(name string, pr *podRec) {
+	if _, ok := n.hosted[name]; !ok {
+		i, _ := slices.BinarySearch(n.hostedOrder, name)
+		n.hostedOrder = slices.Insert(n.hostedOrder, i, name)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
+	n.hosted[name] = pr
+}
+
+// unhost forgets the hosted instance name.
+func (n *Node) unhost(name string) {
+	if i, ok := slices.BinarySearch(n.hostedOrder, name); ok {
+		n.hostedOrder = slices.Delete(n.hostedOrder, i, i+1)
 	}
-	return names
+	delete(n.hosted, name)
 }
 
 // beatBody builds the "beat" kind's workload: a deterministic compute

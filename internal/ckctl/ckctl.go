@@ -92,8 +92,10 @@ type Node struct {
 	cl *Cluster
 
 	// hosted is this module's pod set, keyed by instance name; the
-	// agent is the only writer.
-	hosted map[string]*podRec
+	// agent is the only writer, through host and unhost, which keep
+	// hostedOrder (the keys, sorted) in step.
+	hosted      map[string]*podRec
+	hostedOrder []string
 	// inbox receives controller commands (appended by message-delivery
 	// closures running on this shard).
 	inbox []command

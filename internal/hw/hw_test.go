@@ -356,3 +356,60 @@ func TestCostConversions(t *testing.T) {
 		t.Fatal("CyclesFromMicros")
 	}
 }
+
+// TestExitAtDepthUnwindsOnlyItsOwnCoroutine: Exit from deep inside a
+// call chain, after the context has yielded and been resumed, unwinds
+// that context's body alone — its deferred calls run, nothing after
+// the Exit does — while a context on another CPU runs to completion
+// and Run returns normally.
+func TestExitAtDepthUnwindsOnlyItsOwnCoroutine(t *testing.T) {
+	m := NewMachine(DefaultConfig())
+	mpm := m.MPMs[0]
+	var unwound, pastExit, otherDone bool
+	var dive func(e *Exec, depth int)
+	dive = func(e *Exec, depth int) {
+		if depth == 0 {
+			e.Exit()
+		}
+		e.Ctx().Reschedule()
+		dive(e, depth-1)
+	}
+	quitter := mpm.NewExec("quitter", func(e *Exec) {
+		defer func() { unwound = true }()
+		dive(e, 8)
+		pastExit = true
+	})
+	other := mpm.NewExec("other", func(e *Exec) {
+		for i := 0; i < 16; i++ {
+			e.Ctx().Advance(10)
+			e.Ctx().Reschedule()
+		}
+		otherDone = true
+	})
+	mpm.CPUs[0].Dispatch(quitter)
+	mpm.CPUs[1].Dispatch(other)
+	if err := m.Run(math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	if !unwound || pastExit || !quitter.Finished() {
+		t.Fatalf("quitter: deferred ran %t, ran past Exit %t, finished %t", unwound, pastExit, quitter.Finished())
+	}
+	if !otherDone || !other.Finished() {
+		t.Fatal("Exit on one context cut short another")
+	}
+}
+
+// TestArmTimerAtZeroAllocAfterFirstArm: the timer event is bound once
+// per CPU, so re-arming a CPU's timer allocates nothing.
+func TestArmTimerAtZeroAllocAfterFirstArm(t *testing.T) {
+	m := NewMachine(DefaultConfig())
+	cpu := m.MPMs[0].CPUs[0]
+	arm := func() {
+		cpu.ArmTimerAt(cpu.Clock.Now() + 10)
+		_ = m.Run(math.MaxUint64)
+	}
+	arm() // binds the tick and the engine's first event block
+	if avg := testing.AllocsPerRun(100, arm); avg != 0 {
+		t.Fatalf("ArmTimerAt: %.2f allocs per arm after the first, want 0", avg)
+	}
+}

@@ -227,6 +227,10 @@ type CPU struct {
 	// IntrOff suppresses interrupt delivery while the supervisor runs
 	// critical sections.
 	IntrOff bool
+
+	// tick is the timer event ArmTimerAt schedules, bound on first arm
+	// so later arms allocate nothing.
+	tick func()
 }
 
 // Post sets pending-interrupt bits on the CPU. Safe from engine context.
@@ -235,11 +239,14 @@ func (c *CPU) Post(bits uint32) { c.Pending |= bits }
 // ArmTimerAt schedules a supervisor TimerTick for this CPU at virtual
 // time t.
 func (c *CPU) ArmTimerAt(t uint64) {
-	c.MPM.Shard.ScheduleAt(t, func() {
-		if c.MPM.Sup != nil {
-			c.MPM.Sup.TimerTick(c)
+	if c.tick == nil {
+		c.tick = func() {
+			if c.MPM.Sup != nil {
+				c.MPM.Sup.TimerTick(c)
+			}
 		}
-	})
+	}
+	c.MPM.Shard.ScheduleAt(t, c.tick)
 }
 
 // Dispatch places e on the CPU and makes it runnable. The CPU must be

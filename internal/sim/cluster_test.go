@@ -193,3 +193,63 @@ func TestClusterInboxOnEpochBoundary(t *testing.T) {
 		t.Fatalf("boundary message did not fire at cause+bound: %s", sharded)
 	}
 }
+
+// TestClusterCoroutinesSwitchGoroutines: a coroutine of a sharded
+// engine is resumed by whichever goroutine runs its shard's epoch — the
+// coordinator when its shard is the only one active, the shard's worker
+// when two are. Two coroutines with overlapping duty cycles make each
+// see both epoch shapes many times over; the run must match the serial
+// schedule exactly, and -race must find the handoffs between the
+// goroutines ordered.
+func TestClusterCoroutinesSwitchGoroutines(t *testing.T) {
+	const (
+		period = 3000
+		burst  = 20 // Advance(100)+Reschedule rounds per duty cycle
+		cycles = 4
+	)
+	build := func(shards int) (*clusterScenario, *[2][2]bool) {
+		s := newClusterScenario(shards)
+		s.c.Bound(500)
+		var shapes [2][2]bool // [coroutine][multi-shard epoch]
+		for i := 0; i < 2; i++ {
+			i := i
+			e := s.shardOf(i)
+			clk := NewClock(fmt.Sprintf("c%d", i))
+			offset := uint64(i) * period / 2
+			var co *Coro
+			co = e.NewCoro(fmt.Sprintf("duty%d", i), func(ctx *Ctx) {
+				for k := uint64(0); k < cycles; k++ {
+					for j := 0; j < burst; j++ {
+						multi := 0
+						if len(s.c.ran) > 1 {
+							multi = 1
+						}
+						shapes[i][multi] = true
+						ctx.Advance(100)
+						ctx.Reschedule()
+					}
+					wake := offset + (k+1)*period
+					e.ScheduleAt(wake, func() {
+						clk.AdvanceTo(wake)
+						e.UnparkOn(co, clk)
+					})
+					ctx.Park()
+				}
+			})
+			clk.AdvanceTo(offset)
+			e.UnparkOn(co, clk)
+		}
+		return s, &shapes
+	}
+	serial, _ := build(1)
+	want := serial.fingerprint(t)
+	sharded, shapes := build(2)
+	if got := sharded.fingerprint(t); got != want {
+		t.Fatalf("2-shard run diverges from serial:\nserial:  %s\nsharded: %s", want, got)
+	}
+	for i, sh := range shapes {
+		if !sh[0] || !sh[1] {
+			t.Fatalf("coroutine %d ran in single-shard epochs: %t, in multi-shard epochs: %t; want both", i, sh[0], sh[1])
+		}
+	}
+}

@@ -14,11 +14,12 @@
 // thread migrating between CPUs naturally accumulates time on each.
 //
 // Host-side scheduling is O(log n) in the number of runnable coroutines:
-// the ready set is a min-heap keyed by (clock, id), finished coroutines
-// are dropped from the engine entirely, and a yielding coroutine whose
-// scheduling decision resumes another coroutine hands control to it
-// directly instead of round-tripping through the engine goroutine. All
-// of this changes only host data structures; the scheduling decisions
+// the ready set is a min-heap keyed by (clock, id) and finished
+// coroutines are dropped from the engine entirely. Each coroutine is a
+// runtime coroutine (iter.Pull, see coro.go): Run resumes it with a
+// direct switch that bypasses the Go scheduler, and a yielding coroutine
+// whose next scheduling decision is itself simply keeps running. All of
+// this changes only host data structures; the scheduling decisions
 // themselves — which coroutine runs at which virtual time — are
 // bit-identical to the original linear-scan engine (the determinism
 // golden in internal/exp pins this).
@@ -62,11 +63,10 @@ type Coro struct {
 	id       uint64
 	eng      *Engine
 	fn       func(*Ctx)
-	ctx      *Ctx
-	resume   chan uint64 // horizon values; closed never
+	ctx      Ctx
+	next     func() (struct{}, bool) // resumes the body; nil until startCoro
 	clock    *Clock
 	runnable bool
-	started  bool
 	done     bool
 	// fresh marks an activation: the coroutine was unparked and has not
 	// been dispatched since. Only activation dispatches are traced and
@@ -99,6 +99,7 @@ func (co *Coro) Clock() *Clock { return co.clock }
 type Ctx struct {
 	co      *Coro
 	horizon uint64
+	suspend func(struct{}) bool // iter.Pull's yield: switches back to Run
 }
 
 // event is a scheduled callback. Events run in the engine's own context
@@ -125,7 +126,6 @@ type Engine struct {
 	runq    coroHeap // runnable coroutines keyed by (clock, id)
 	events  eventHeap
 	seq     uint64
-	yieldCh chan *Coro
 	current *Coro
 	now     uint64 // time of the most recently scheduled entity
 	until   uint64 // bound of the Run call in progress
@@ -158,7 +158,8 @@ type Engine struct {
 	subs    []subRec
 	outbox  []crossMsg
 	// evFree pools event records when the log does not retain them.
-	evFree []*event
+	evFree  []*event
+	evBlock []event // unused tail of newEvent's current allocation block
 	// smallEpochs counts consecutive epochs whose log usage fit under
 	// poolRetain; trimPools shrinks over-cap buffers once it reaches
 	// poolTrimAfter.
@@ -209,7 +210,7 @@ type crossMsg struct {
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
-	return &Engine{yieldCh: make(chan *Coro)}
+	return &Engine{}
 }
 
 // Now reports the engine's current virtual time. From inside a running
@@ -286,13 +287,13 @@ func (e *Engine) nextSeq() uint64 {
 func (e *Engine) NewCoro(name string, fn func(*Ctx)) *Coro {
 	id := e.nextSeq()
 	co := &Coro{
-		name:   name,
-		id:     id,
-		eng:    e,
-		fn:     fn,
-		resume: make(chan uint64),
-		gid:    id,
+		name: name,
+		id:   id,
+		eng:  e,
+		fn:   fn,
+		gid:  id,
 	}
+	co.ctx.co = co
 	if c := e.cluster; c != nil && c.running {
 		// Runtime creation in a cluster: the global dispatch rank is
 		// assigned when the creating action is merged at the barrier.
@@ -303,7 +304,6 @@ func (e *Engine) NewCoro(name string, fn func(*Ctx)) *Coro {
 			e.subs = append(e.subs, subRec{kind: subCoro, co: co})
 		}
 	}
-	co.ctx = &Ctx{co: co}
 	e.coros = append(e.coros, co)
 	return co
 }
@@ -406,16 +406,24 @@ func (e *Engine) ScheduleCrossAt(dst *Engine, t uint64, fn func()) {
 	e.subs = append(e.subs, subRec{kind: subCross, msg: int32(len(e.outbox) - 1)})
 }
 
+const evBlockSize = 16
+
 // newEvent draws an event record from the pool (executed events are
 // recycled: immediately when logging is off, at the epoch barrier once
-// the action log is done with them when logging is on).
+// the action log is done with them when logging is on). An empty pool
+// hands out records from blocks of evBlockSize, one allocation each.
 func (e *Engine) newEvent() *event {
 	if n := len(e.evFree); n > 0 {
 		ev := e.evFree[n-1]
 		e.evFree = e.evFree[:n-1]
 		return ev
 	}
-	return &event{}
+	if len(e.evBlock) == 0 {
+		e.evBlock = make([]event, evBlockSize)
+	}
+	ev := &e.evBlock[0]
+	e.evBlock = e.evBlock[1:]
+	return ev
 }
 
 // freeEvent returns an executed event to the pool: on the non-logging
@@ -562,11 +570,8 @@ func (e *Engine) Run(until uint64) error {
 			if coTime > until {
 				return nil
 			}
-			e.runq.pop()
-			horizon := e.horizonFor(coTime)
-			e.now = coTime
-			e.logDispatch(co, coTime)
-			e.resumeCoro(co, horizon)
+			e.dispatch(co, coTime)
+			e.resumeCoro(co)
 		}
 	}
 }
@@ -629,30 +634,35 @@ func (e *Engine) horizonFor(coTime uint64) uint64 {
 	return coTime - coTime%gridQuantum + gridQuantum
 }
 
-// pickDirect evaluates the next scheduling decision from inside a
-// yielding coroutine. If that decision resumes a coroutine it performs
-// the dispatch bookkeeping (step count, queue pop, virtual time, trace)
-// and returns it with its horizon; for anything the engine goroutine
-// must handle — a due event, quiescence, the run bound, the step guard —
-// it mutates nothing and reports !ok so the yielder bounces control
-// back to Run, which re-evaluates identically.
-func (e *Engine) pickDirect() (next *Coro, horizon uint64, ok bool) {
+// pickSelf evaluates the next scheduling decision from inside a
+// yielding coroutine co. If that decision resumes co itself it performs
+// the dispatch and reports true, so co keeps running without a switch.
+// For any other decision — another coroutine, a due event, quiescence,
+// the run bound, the step guard — it mutates nothing and reports false:
+// the yielder switches back to Run, which re-evaluates identically.
+func (e *Engine) pickSelf(co *Coro) bool {
 	if e.MaxSteps != 0 && e.steps >= e.MaxSteps {
-		return nil, 0, false
+		return false
 	}
-	co, coTime := e.peekRunnable()
-	if co == nil || coTime > e.until {
-		return nil, 0, false
+	next, coTime := e.peekRunnable()
+	if next != co || coTime > e.until {
+		return false
 	}
 	if len(e.events) > 0 && e.events[0].at <= coTime {
-		return nil, 0, false
+		return false
 	}
 	e.steps++
+	e.dispatch(co, coTime)
+	return true
+}
+
+// dispatch pops co, the run queue's head at coTime, and gives it a
+// fresh horizon.
+func (e *Engine) dispatch(co *Coro, coTime uint64) {
 	e.runq.pop()
-	horizon = e.horizonFor(coTime)
+	co.ctx.horizon = e.horizonFor(coTime)
 	e.now = coTime
 	e.logDispatch(co, coTime)
-	return co, horizon, true
 }
 
 // logDispatch records one dispatch decision. An activation (first
@@ -680,41 +690,22 @@ func (e *Engine) logDispatch(co *Coro, coTime uint64) {
 	}
 }
 
-// resumeCoro transfers control to co until control bounces back to the
-// engine goroutine. With direct handoff, any number of coroutine-to-
-// coroutine switches may happen before that; exactly one goroutine is
-// ever active, so engine state needs no locking.
-func (e *Engine) resumeCoro(co *Coro, horizon uint64) {
+// resumeCoro runs co until it yields back to Run or finishes. While it
+// runs it may keep going across any number of its own re-dispatches
+// (pickSelf); exactly one coroutine is ever active, so engine state
+// needs no locking. A panic in the body propagates out of Run.
+func (e *Engine) resumeCoro(co *Coro) {
 	e.current = co
-	if !co.started {
+	if co.next == nil {
 		e.startCoro(co)
 	}
-	co.resume <- horizon
-	<-e.yieldCh
+	co.next()
 	e.current = nil
 }
 
-// startCoro launches the coroutine's goroutine. When the body returns,
-// the coroutine is removed from the engine's tracked set entirely —
-// long-running simulations do not accumulate finished contexts — and
-// control bounces to the engine goroutine.
-func (e *Engine) startCoro(co *Coro) {
-	co.started = true
-	//ckvet:allow detmap coroutine goroutines hand off through unbuffered channels; exactly one is ever runnable
-	go func() {
-		h := <-co.resume
-		co.ctx.horizon = h
-		co.fn(co.ctx)
-		co.done = true
-		co.runnable = false
-		e.removeCoro(co)
-		e.yieldCh <- co
-	}()
-}
-
 // removeCoro drops a finished coroutine from the live set, preserving
-// creation order. Called from the finishing coroutine's goroutine while
-// every other goroutine is parked, so no synchronization is needed.
+// creation order. Called from the finishing coroutine's body while Run
+// waits for it to switch back, so no synchronization is needed.
 func (e *Engine) removeCoro(co *Coro) {
 	for i, c := range e.coros {
 		if c == co {
@@ -728,32 +719,18 @@ func (e *Engine) removeCoro(co *Coro) {
 
 // yield suspends the calling coroutine and returns control to the
 // scheduler; the coroutine resumes (with a fresh horizon) when next
-// scheduled. If the next scheduling decision resumes a coroutine, the
-// yielder hands control to it directly — or simply keeps running when
-// that coroutine is itself — avoiding the round trip through the engine
-// goroutine. Decisions the engine must make (events, bounds, guards)
-// bounce back to Run.
+// scheduled. When the next scheduling decision is the yielder itself it
+// simply keeps running; every other decision switches back to Run.
 func (ctx *Ctx) yield() {
 	co := ctx.co
 	e := co.eng
 	if co.runnable {
 		e.runq.push(coroEntry{at: co.clock.now, co: co})
 	}
-	if next, horizon, ok := e.pickDirect(); ok {
-		e.current = next
-		if next == co {
-			ctx.horizon = horizon
-			return
-		}
-		if !next.started {
-			e.startCoro(next)
-		}
-		next.resume <- horizon
-		ctx.horizon = <-co.resume
+	if e.pickSelf(co) {
 		return
 	}
-	e.yieldCh <- co
-	ctx.horizon = <-co.resume
+	ctx.suspend(struct{}{})
 }
 
 // Advance charges cycles cycles to the coroutine's current clock, yielding

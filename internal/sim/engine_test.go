@@ -318,3 +318,38 @@ func TestEventHeapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// recoverRun runs e and returns whatever Run panicked with (nil when it
+// returned normally).
+func recoverRun(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	_ = e.Run(math.MaxUint64)
+	return nil
+}
+
+// TestCoroPanicPropagates: a panic in a coroutine body — here raised
+// after the body has yielded and been resumed — surfaces from
+// Engine.Run on the caller's goroutine with its original value.
+func TestCoroPanicPropagates(t *testing.T) {
+	type boom struct{ n int }
+	e := NewEngine()
+	var ran bool
+	bomb := e.NewCoro("bomb", func(ctx *Ctx) {
+		ctx.Reschedule()
+		ctx.Advance(2 * gridQuantum)
+		panic(boom{7})
+	})
+	other := e.NewCoro("other", func(ctx *Ctx) {
+		ctx.Advance(10)
+		ran = true
+	})
+	e.UnparkOn(bomb, NewClock("c0"))
+	e.UnparkOn(other, NewClock("c1"))
+	r := recoverRun(e)
+	if b, ok := r.(boom); !ok || b.n != 7 {
+		t.Fatalf("Run panicked with %#v, want boom{7}", r)
+	}
+	if !ran {
+		t.Fatal("the other coroutine never ran before the panic")
+	}
+}

@@ -244,3 +244,51 @@ func TestPoolCrossTrafficStress(t *testing.T) {
 		}
 	}
 }
+
+// TestNewEventBlockAlloc: with an empty free list newEvent carves
+// records from evBlockSize-event blocks, one allocation per block.
+func TestNewEventBlockAlloc(t *testing.T) {
+	if raceEnabled || sanEnabled {
+		t.Skip("allocation counts are meaningless under -race / cksan instrumentation")
+	}
+	e := NewEngine()
+	const blocks = 10
+	avg := testing.AllocsPerRun(16, func() {
+		for i := 0; i < blocks*evBlockSize; i++ {
+			e.newEvent()
+		}
+	})
+	if avg > blocks {
+		t.Fatalf("newEvent: %.2f allocs per %d fresh events, want at most %d", avg, blocks*evBlockSize, blocks)
+	}
+}
+
+// coroLifecycleAllocs is the allocation budget for one coroutine's
+// create -> run -> finish: the Coro itself, the runtime coroutine
+// iter.Pull builds (its goroutine, state cells and closures) and the
+// body binding. A growth here multiplies by every thread a workload
+// creates.
+const coroLifecycleAllocs = 13
+
+// TestCoroLifecycleAllocBudget holds a coroutine's whole lifetime to
+// coroLifecycleAllocs.
+func TestCoroLifecycleAllocBudget(t *testing.T) {
+	if raceEnabled || sanEnabled {
+		t.Skip("allocation counts are meaningless under -race / cksan instrumentation")
+	}
+	e := NewEngine()
+	clk := NewClock("c")
+	body := func(ctx *Ctx) {
+		ctx.Advance(10)
+		ctx.Reschedule()
+		ctx.Advance(10)
+	}
+	life := func() {
+		e.UnparkOn(e.NewCoro("w", body), clk)
+		_ = e.Run(math.MaxUint64)
+	}
+	life() // warm the engine's live set and run queue
+	if avg := testing.AllocsPerRun(64, life); avg > coroLifecycleAllocs {
+		t.Fatalf("coroutine lifecycle: %.0f allocs, budget %d", avg, coroLifecycleAllocs)
+	}
+}

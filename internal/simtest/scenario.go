@@ -205,6 +205,27 @@ type OrchStats struct {
 // Failed reports whether any oracle fired.
 func (r *Result) Failed() bool { return len(r.Failures) > 0 }
 
+// oraclePanic names the failure PanicResult records.
+const oraclePanic = "panic"
+
+// PanicResult is the result of a run of sc that panicked with value p
+// before it could finish: one "panic" failure carrying the panic
+// message, and no fingerprint or shrink instrumentation. Run itself
+// never recovers — a panic there is a simulator defect and crashes the
+// process — so only callers that choose to survive one (cksim's seed
+// loop, the shrinker's probes) build this.
+func PanicResult(sc Scenario, p any) *Result {
+	return &Result{Scenario: sc, Failures: []Failure{{Oracle: oraclePanic, Detail: fmt.Sprint(p)}}}
+}
+
+// Panic reports the panic message of a PanicResult.
+func (r *Result) Panic() (string, bool) {
+	if len(r.Failures) == 1 && r.Failures[0].Oracle == oraclePanic {
+		return r.Failures[0].Detail, true
+	}
+	return "", false
+}
+
 // Fingerprint renders the deterministic run summary: identical for
 // identical seeds, byte for byte.
 func (r *Result) Fingerprint() string {

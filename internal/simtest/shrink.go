@@ -52,14 +52,24 @@ func Shrink(sc Scenario, maxRuns int) (Scenario, *Result) {
 // times, so an early-stopped probe fails if and only if the full run
 // fails; the result finally returned is always from a full re-run of
 // the winning scenario.
+//
+// Every run is guarded: a panic becomes a PanicResult. A scenario
+// that panics shrinks to one that panics with the same message; a
+// candidate of any other failing scenario that panics is a different
+// defect and is rejected.
 func ShrinkWithStats(sc Scenario, maxRuns int) (Scenario, *Result, ShrinkStats) {
 	var stats ShrinkStats
 	runs := 0
 
 	best := sc
-	bestRes := runWithOpts(best, nil, 1, runOpts{record: true})
+	bestRes := guardedRun(best, runOpts{record: true})
 	if !bestRes.Failed() {
 		return best, bestRes, stats
+	}
+	wantPanic, panicked := bestRes.Panic()
+	stillFails := func(r *Result) bool {
+		msg, p := r.Panic()
+		return r.Failed() && p == panicked && msg == wantPanic
 	}
 
 	// Instrumentation for the current best. starts[i] is when op i began
@@ -82,9 +92,9 @@ func ShrinkWithStats(sc Scenario, maxRuns int) (Scenario, *Result, ShrinkStats) 
 		if judgeFrom > 0 {
 			stats.PrefixCyclesSaved += judgeFrom
 		}
-		r := runWithOpts(c, nil, 1, runOpts{earlyStop: true, record: true, judgeFrom: judgeFrom})
+		r := guardedRun(c, runOpts{earlyStop: true, record: true, judgeFrom: judgeFrom})
 		stats.ChecksSkipped += r.JudgeSkipped
-		if r.Failed() {
+		if stillFails(r) {
 			return r
 		}
 		return nil
@@ -258,16 +268,27 @@ func ShrinkWithStats(sc Scenario, maxRuns int) (Scenario, *Result, ShrinkStats) 
 	// Probes may have stopped early or been accepted without running;
 	// the reported reduction is always a full run.
 	if len(best.Ops) != len(sc.Ops) || len(best.Faults) != len(sc.Faults) || !scenarioEqual(best, sc) {
-		bestRes = Run(best, nil)
-		if !bestRes.Failed() {
+		bestRes = guardedRun(best, runOpts{})
+		if !stillFails(bestRes) {
 			// Defensive: prefix determinism says this cannot happen — but
 			// never return a "reduction" that passes. Fall back to the
 			// original, which the initial run proved failing.
 			best = sc
-			bestRes = Run(best, nil)
+			bestRes = guardedRun(best, runOpts{})
 		}
 	}
 	return best, bestRes, stats
+}
+
+// guardedRun runs sc serially, turning a panic into a PanicResult so
+// one panicking candidate does not end the whole reduction.
+func guardedRun(sc Scenario, opts runOpts) (res *Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			res = PanicResult(sc, p)
+		}
+	}()
+	return runWithOpts(sc, nil, 1, opts)
 }
 
 func hasCrashFault(fs []chaos.Fault) bool {
