@@ -54,6 +54,8 @@ func main() {
 		fkCheck = flag.Bool("forkcheck", false, "run each op-stream seed through the replay fork tier and require identical verdicts")
 	)
 	flag.Parse()
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 
 	// -san is a guard, not a switch: the sanitizer is compiled in (or
 	// not) by the cksan build tag, and a sweep that silently ran without
@@ -78,7 +80,7 @@ func main() {
 		os.Exit(runForkCheck(*seed, 1, *shards))
 	case *seeds > 0:
 		os.Exit(runSweep(gen, *start, *seeds, *shrink, *shrinkN, *shards))
-	case *seed != 0 || flag.Lookup("seed").Value.String() != "0":
+	case seedSet:
 		os.Exit(runOne(gen, *seed, *shrink, *shrinkN, *shards))
 	default:
 		flag.Usage()
@@ -116,10 +118,8 @@ func runOne(gen func(uint64) simtest.Scenario, seed uint64, shrink bool, shrinkR
 	}
 	writeReplay(fmt.Sprintf("cksim-fail-%d.json", seed), res)
 	if shrink {
-		min, minRes, sst := simtest.ShrinkWithStats(res.Scenario, shrinkRuns)
+		min, minRes := simtest.Shrink(res.Scenario, shrinkRuns)
 		fmt.Printf("shrunk to %d op(s), %d fault(s)\n", len(min.Ops), len(min.Faults))
-		fmt.Printf("shrink: %d probe(s) run, %d accepted by prefix determinism without a run; %d prefix invariant check(s) skipped, %d prefix cycle(s) saved\n",
-			sst.ProbesRun, sst.ProbesSkipped, sst.ChecksSkipped, sst.PrefixCyclesSaved)
 		writeReplay(fmt.Sprintf("cksim-min-%d.json", seed), minRes)
 	}
 	return 1
@@ -152,9 +152,7 @@ func runSweep(gen func(uint64) simtest.Scenario, start uint64, count int, shrink
 			if failed <= maxArtifacts {
 				writeReplay(fmt.Sprintf("cksim-fail-%d.json", s), res)
 				if shrink {
-					_, minRes, sst := simtest.ShrinkWithStats(res.Scenario, shrinkRuns)
-					fmt.Printf("seed %-6d shrink: %d probe(s) run, %d skipped, %d prefix cycle(s) saved\n",
-						s, sst.ProbesRun, sst.ProbesSkipped, sst.PrefixCyclesSaved)
+					_, minRes := simtest.Shrink(res.Scenario, shrinkRuns)
 					writeReplay(fmt.Sprintf("cksim-min-%d.json", s), minRes)
 				}
 			}

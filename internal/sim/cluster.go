@@ -412,9 +412,9 @@ func (c *Cluster) barrier() {
 
 // PoolStat reports one shard's pooled hot-path buffers: the per-epoch
 // logs (zero entries between epochs — resetLogs runs at every barrier)
-// and the event free list. Capacities are bounded by poolRetain once an
-// epoch's usage fits under it; cksan asserts the reset invariant at
-// every epoch begin, and tests assert it between runs.
+// and the event free list. Capacities keep their high-water mark, so
+// steady-state epochs never re-allocate; cksan asserts the reset
+// invariant at every epoch begin, and tests assert it between runs.
 type PoolStat struct {
 	Shard                       int
 	Acts, Subs, Outbox          int

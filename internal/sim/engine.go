@@ -160,10 +160,6 @@ type Engine struct {
 	// evFree pools event records when the log does not retain them.
 	evFree  []*event
 	evBlock []event // unused tail of newEvent's current allocation block
-	// smallEpochs counts consecutive epochs whose log usage fit under
-	// poolRetain; trimPools shrinks over-cap buffers once it reaches
-	// poolTrimAfter.
-	smallEpochs int
 }
 
 // Action and registration log records (sharded mode only).
@@ -431,27 +427,9 @@ func (e *Engine) newEvent() *event {
 // epoch barrier (the action log references fired events until then).
 func (e *Engine) freeEvent(ev *event) {
 	ev.fn = nil
-	//ckvet:allow poolpath the pool's own refill point; drained by newEvent, trimmed at barriers
+	//ckvet:allow poolpath the pool's own refill point, drained by newEvent
 	e.evFree = append(e.evFree, ev)
 }
-
-// poolRetain caps the capacity a pooled per-epoch structure keeps
-// across epoch barriers. logEpochQuantum bounds an epoch's length in
-// virtual time but not its decision count, so one pathological epoch
-// can grow the logs arbitrarily; trimming at the barrier bounds what
-// such a spike pins for the rest of the run, while steady-state epochs
-// (usage above the cap every epoch) keep their high-water buffers and
-// never re-allocate.
-const poolRetain = 1 << 15
-
-// poolTrimAfter is how many consecutive under-cap epochs a shard must
-// see before an over-cap buffer is actually trimmed. Workloads that
-// alternate heavy and idle epochs (staggered park phases) would
-// otherwise trim on every idle epoch and re-allocate on the next heavy
-// one — steady-state allocation churn, the exact thing the pools
-// exist to eliminate. A genuine phase change (the heavy epochs are
-// over) still releases the memory, just a few barriers later.
-const poolTrimAfter = 8
 
 // resetLogs clears the per-epoch logs for reuse and recycles every
 // event the action log retained. Only the epoch barrier may call it:
@@ -459,7 +437,6 @@ const poolTrimAfter = 8
 // event — the merge's rank writes into fired events are done, and
 // cross-injected events live in destination heaps, not in any log.
 func (e *Engine) resetLogs() {
-	actsUsed, subsUsed, outboxUsed := len(e.acts), len(e.subs), len(e.outbox)
 	for i := range e.acts {
 		if e.acts[i].kind == actEvent {
 			e.freeEvent(e.acts[i].ev)
@@ -473,35 +450,6 @@ func (e *Engine) resetLogs() {
 	e.subs = e.subs[:0]
 	clear(e.outbox)
 	e.outbox = e.outbox[:0]
-	e.trimPools(actsUsed, subsUsed, outboxUsed)
-}
-
-// trimPools applies poolRetain: a structure whose capacity outgrew the
-// cap is shrunk once poolTrimAfter consecutive epochs have fit under
-// the cap. A workload that logs more than poolRetain entries at least
-// every few epochs keeps its buffers.
-func (e *Engine) trimPools(actsUsed, subsUsed, outboxUsed int) {
-	if actsUsed > poolRetain || subsUsed > poolRetain || outboxUsed > poolRetain {
-		e.smallEpochs = 0
-		return
-	}
-	if e.smallEpochs < poolTrimAfter {
-		e.smallEpochs++
-		return
-	}
-	if cap(e.acts) > poolRetain {
-		e.acts = make([]actRec, 0, poolRetain)
-	}
-	if cap(e.subs) > poolRetain {
-		e.subs = make([]subRec, 0, poolRetain)
-	}
-	if cap(e.outbox) > poolRetain {
-		e.outbox = make([]crossMsg, 0, poolRetain)
-	}
-	if len(e.evFree) > poolRetain {
-		clear(e.evFree[poolRetain:])
-		e.evFree = e.evFree[:poolRetain]
-	}
 }
 
 // ErrMaxSteps reports that Run stopped because the step guard tripped.
@@ -908,43 +856,4 @@ func (h eventHeap) reheap() {
 			j = m
 		}
 	}
-}
-
-// DebugState renders the engine's coroutine states for diagnostics.
-// Finished coroutines are removed from the engine, so only parked and
-// runnable ones appear.
-func DebugState(e *Engine) string {
-	s := ""
-	for _, co := range e.coros {
-		state := "parked"
-		if co.done {
-			state = "done"
-		} else if co.runnable {
-			state = "runnable"
-		}
-		clk := uint64(0)
-		if co.clock != nil {
-			clk = co.clock.now
-		}
-		s += co.name + "=" + state + "@" + u64str(clk) + " "
-	}
-	if e.current != nil {
-		s += "| current=" + e.current.name
-	}
-	s += "| events=" + u64str(uint64(len(e.events)))
-	return s
-}
-
-func u64str(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [24]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

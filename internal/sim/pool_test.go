@@ -131,37 +131,6 @@ func TestPoolStatsResetBetweenRuns(t *testing.T) {
 	}
 }
 
-// TestPoolSpikeThenTrim: one epoch logging far more than poolRetain
-// must not pin that capacity forever — after poolTrimAfter quiet
-// epochs the logs and the event free list shrink back under the cap.
-func TestPoolSpikeThenTrim(t *testing.T) {
-	s := newClusterScenario(2)
-	const bound = 100_000
-	s.c.Bound(bound)
-	e := s.c.Engine(0)
-	// Spike: 3x the retention cap in events, all within the first epoch
-	// window, so at least one epoch logs well past poolRetain.
-	for i := 0; i < 3*poolRetain; i++ {
-		e.ScheduleAt(uint64(1+i%(bound-2)), func() {})
-	}
-	// Quiet tail: one action per epoch for longer than the trim patience.
-	s.tickChain(0, "q", 2*bound, bound, poolTrimAfter+4)
-	if err := s.c.Run(math.MaxUint64); err != nil {
-		t.Fatal(err)
-	}
-	st := s.c.PoolStats()[0]
-	if st.ActsCap > poolRetain {
-		t.Fatalf("action log capacity %d still above poolRetain %d after %d quiet epochs",
-			st.ActsCap, poolRetain, poolTrimAfter+4)
-	}
-	if st.FreeEvents > poolRetain {
-		t.Fatalf("event free list holds %d nodes, above poolRetain %d", st.FreeEvents, poolRetain)
-	}
-	if st.Acts != 0 || st.Outbox != 0 {
-		t.Fatalf("pooled buffers not reset after Run: acts=%d outbox=%d", st.Acts, st.Outbox)
-	}
-}
-
 // TestStepPathZeroAlloc is the headline hot-path claim as a hard test:
 // steady-state engine stepping with no trace installed performs zero
 // heap allocations per scheduling decision.

@@ -87,15 +87,6 @@ type harness struct {
 	failures []Failure
 	trunc    bool
 
-	// Shrink instrumentation (runOpts.record/judgeFrom; serial runs
-	// only, so the unguarded fields never race).
-	record       bool
-	judgeFrom    uint64
-	opStartAt    []uint64 // per op; MaxUint64 = never started
-	firstFailAt  uint64
-	failSeen     bool
-	judgeSkipped int
-
 	// lastByName tracks each coroutine's previous dispatch time for the
 	// monotonicity oracle. Clocks are per-coroutine (a fresh coroutine
 	// starts at cycle 0, behind everyone), so virtual time is monotone
@@ -121,10 +112,6 @@ func (h *harness) failf(oracle, format string, args ...any) {
 	if len(h.failures) >= maxFailures {
 		h.trunc = true
 		return
-	}
-	if h.record && !h.failSeen {
-		h.failSeen = true
-		h.firstFailAt = h.m.Now()
 	}
 	h.failures = append(h.failures, Failure{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
 }
@@ -286,58 +273,25 @@ func shardPlan(sc *Scenario, shards int) []int {
 	return plan
 }
 
-// runOpts are the harness's execution-mode knobs: the replay-tier cut
-// (pause once at a virtual time, then continue) and the shrink prober's
-// early stop (run in bounded chunks, stop once an oracle has fired).
+// runOpts is the harness's one execution-mode knob, the replay-tier
+// cut: pause once at a virtual time for the hook, then continue.
 type runOpts struct {
-	cut       uint64
-	pause     func(m *hw.Machine)
-	earlyStop bool
-
-	// record instruments the run with per-op start times and the
-	// first-failure time (Result.OpStarts/FirstFailAt). Serial runs
-	// only: recording reads the machine clock from oracle context.
-	record bool
-	// judgeFrom skips the per-op invariant re-checks for ops starting
-	// strictly before it. Only sound when the caller has proven the run
-	// identical, up to that virtual time, to a run that already passed
-	// judgement there (the shrink prober's prefix-determinism argument).
-	judgeFrom uint64
+	cut   uint64
+	pause func(m *hw.Machine)
 }
 
 func runWith(sc Scenario, trace func(name string, at uint64), shards int) *Result {
 	return runWithOpts(sc, trace, shards, runOpts{})
 }
 
-// runMachine drives the built machine to its horizon under the options:
-// pausing once at the cut, and — for shrink probes — running in
-// virtual-time chunks that stop as soon as a failure is on the ledger
-// (failures are recorded at deterministic virtual times, so a full run
-// of the same scenario records the same failure; stopping early cannot
-// turn a failing scenario into a passing one).
+// runMachine drives the built machine to its horizon, pausing once at
+// the cut when the options carry a pause hook.
 func (h *harness) runMachine(opts runOpts) error {
 	if opts.pause != nil {
 		if err := h.m.Run(opts.cut); err != nil {
 			return err
 		}
 		opts.pause(h.m)
-	}
-	if opts.earlyStop {
-		chunk := h.horizon/8 + 1
-		// Past the ticker retirement point nothing periodic remains; the
-		// final unbounded Run below drains whatever is left.
-		limit := h.horizon + hw.CyclesFromMicros(100_000)
-		for next := h.m.Now() + chunk; next < limit; next += chunk {
-			h.mu.Lock()
-			failed := len(h.failures) > 0
-			h.mu.Unlock()
-			if failed {
-				return nil
-			}
-			if err := h.m.Run(next); err != nil {
-				return err
-			}
-		}
 	}
 	return h.m.Run(math.MaxUint64)
 }
@@ -348,14 +302,6 @@ func runWithOpts(sc Scenario, trace func(name string, at uint64), shards int, op
 	}
 	res := &Result{Scenario: sc}
 	h := &harness{sc: sc, horizon: hw.CyclesFromMicros(float64(sc.HorizonUS))}
-	h.record = opts.record
-	h.judgeFrom = opts.judgeFrom
-	if opts.record {
-		h.opStartAt = make([]uint64, len(sc.Ops))
-		for i := range h.opStartAt {
-			h.opStartAt[i] = math.MaxUint64
-		}
-	}
 	for _, f := range sc.Faults {
 		switch f.Kind {
 		case chaos.DropSignal:
@@ -423,14 +369,6 @@ func runWithOpts(sc Scenario, trace func(name string, at uint64), shards int, op
 	res.Dispatches = h.dispatches
 	res.Hash = h.hash
 	res.FaultStats = h.inj.Stats
-	if h.record {
-		res.OpStarts = h.opStartAt
-		res.FirstFailAt = math.MaxUint64
-		if h.failSeen {
-			res.FirstFailAt = h.firstFailAt
-		}
-	}
-	res.JudgeSkipped = h.judgeSkipped
 	return res
 }
 
@@ -752,16 +690,8 @@ func (n *node) runOps(ak *aklib.AppKernel, me *hw.Exec) {
 		if sc.Crash && n.k.Epoch > 0 {
 			break
 		}
-		if n.h.record {
-			n.h.opStartAt[i] = me.Now()
-		}
 		n.runOp(ak, me, i, sc.Ops[i])
-		if me.Now() < n.h.judgeFrom {
-			// This prefix already passed judgement on the run the shrink
-			// prober proved it identical to; the check is host-side pure
-			// inspection, so skipping it cannot perturb the schedule.
-			n.h.judgeSkipped++
-		} else if err := n.k.CheckInvariants(); err != nil {
+		if err := n.k.CheckInvariants(); err != nil {
 			n.h.failf("invariants", "mpm %d after op %d (%v): %v", n.idx, i, sc.Ops[i].Kind, err)
 		}
 	}

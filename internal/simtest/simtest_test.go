@@ -1,7 +1,7 @@
 package simtest
 
 import (
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -83,102 +83,60 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShrinkKeepsFailing: whatever the re-run budget, the shrinker
+// returns a scenario that still fails, together with that scenario's
+// full run. A zero budget leaves the scenario untouched.
 func TestShrinkKeepsFailing(t *testing.T) {
 	sc := failingScenario()
-	min, res := Shrink(sc, 40)
-	if res == nil || !res.Failed() {
-		t.Fatal("shrink lost the failure")
-	}
-	if len(min.Ops) > len(sc.Ops) {
-		t.Fatalf("shrink grew the op stream: %d > %d", len(min.Ops), len(sc.Ops))
-	}
-	// The minimized scenario must re-fail when run from scratch — a
-	// shrunk reproduction that only failed during shrinking is useless.
-	again := Run(min, nil)
-	if !again.Failed() {
-		t.Fatal("minimized scenario passed on rerun")
-	}
-	if again.Hash != res.Hash {
-		t.Fatalf("minimized rerun hash %016x != shrink result %016x", again.Hash, res.Hash)
-	}
-}
-
-// Recording is host-side bookkeeping: an instrumented run must produce
-// the very same schedule as a plain one, and its instrumentation must
-// be internally consistent — that is what makes the shrink prober's
-// prefix-determinism skips sound.
-func TestRecordedRunScheduleNeutral(t *testing.T) {
-	sc := failingScenario()
-	plain := Run(sc, nil)
-	rec := runWithOpts(sc, nil, 1, runOpts{record: true})
-	if rec.Hash != plain.Hash {
-		t.Fatalf("recorded run hash %016x != plain %016x", rec.Hash, plain.Hash)
-	}
-	if !rec.Failed() {
-		t.Fatal("recorded run lost the failure")
-	}
-	if rec.FirstFailAt > rec.FinalClock {
-		t.Fatalf("first failure at %d past the final clock %d", rec.FirstFailAt, rec.FinalClock)
-	}
-	if len(rec.OpStarts) != len(sc.Ops) {
-		t.Fatalf("recorded %d op starts for %d ops", len(rec.OpStarts), len(sc.Ops))
-	}
-	started := 0
-	for i, at := range rec.OpStarts {
-		if at == ^uint64(0) {
-			continue
+	for _, maxRuns := range []int{0, 40} {
+		min, res := Shrink(sc, maxRuns)
+		if res == nil || !res.Failed() {
+			t.Fatalf("budget %d: shrink lost the failure", maxRuns)
 		}
-		started++
-		if at > rec.FinalClock {
-			t.Fatalf("op %d started at %d past the final clock %d", i, at, rec.FinalClock)
+		if len(min.Ops) > len(sc.Ops) {
+			t.Fatalf("budget %d: shrink grew the op stream: %d > %d", maxRuns, len(min.Ops), len(sc.Ops))
+		}
+		if maxRuns == 0 && !reflect.DeepEqual(min, sc) {
+			t.Fatalf("budget 0 changed the scenario: %+v", min)
+		}
+		// The minimized scenario must re-fail when run from scratch — a
+		// shrunk reproduction that only failed during shrinking is useless.
+		again := Run(min, nil)
+		if !again.Failed() {
+			t.Fatalf("budget %d: minimized scenario passed on rerun", maxRuns)
+		}
+		if again.Hash != res.Hash {
+			t.Fatalf("budget %d: minimized rerun hash %016x != shrink result %016x", maxRuns, again.Hash, res.Hash)
 		}
 	}
-	if started == 0 {
-		t.Fatal("no op ever started; the instrumentation recorded nothing")
-	}
 }
 
-func TestShrinkStats(t *testing.T) {
-	sc := failingScenario()
-	const maxRuns = 40
-	min, res, st := ShrinkWithStats(sc, maxRuns)
-	if res == nil || !res.Failed() {
-		t.Fatal("shrink lost the failure")
-	}
-	if st.ProbesRun > maxRuns {
-		t.Fatalf("%d probes run, budget was %d", st.ProbesRun, maxRuns)
-	}
-	if st.ProbesSkipped > 0 && st.PrefixCyclesSaved == 0 {
-		t.Fatalf("%d probes skipped but no prefix cycles accounted", st.ProbesSkipped)
-	}
-	if again := Run(min, nil); !again.Failed() {
-		t.Fatal("minimized scenario passed on rerun")
-	}
-	t.Logf("shrink: %d run, %d skipped, %d checks skipped, %d prefix cycles saved",
-		st.ProbesRun, st.ProbesSkipped, st.ChecksSkipped, st.PrefixCyclesSaved)
-}
-
-// TestShrinkPanickingSeed: a scenario whose run panics shrinks to a
-// smaller one that panics with the same message, and Run itself still
-// panics on it. Seed 76 hits the known `ck: dispatch of running
-// thread` defect (perfbench/expected records it as a crash); once that
-// is fixed, this test needs another panicking scenario.
+// TestShrinkPanickingSeed shrinks one seed of each known defect class
+// and requires a from-scratch run of the minimized scenario to fail the
+// same way: seed 76 panics with `ck: dispatch of running thread`
+// (perfbench/expected records it as a crash), and seed 1886 is the DSM
+// ping-pong stall, an oracle failure rather than a panic. Once either
+// defect is fixed, its row needs another seed of its class.
 func TestShrinkPanickingSeed(t *testing.T) {
-	sc := Generate(76)
-	min, res := Shrink(sc, 30)
-	msg, ok := res.Panic()
-	if !ok || !strings.Contains(msg, "dispatch of running thread") {
-		t.Fatalf("shrink result is not the seed-76 panic: %+v", res.Failures)
+	for _, tc := range []struct {
+		seed    uint64
+		maxRuns int
+		oracle  string // first failure's oracle
+		want    string // substring of its detail
+		ops     int    // minimized op count
+	}{
+		{seed: 76, maxRuns: 30, oracle: oraclePanic, want: "dispatch of running thread", ops: 3},
+		{seed: 1886, maxRuns: 40, oracle: "op", want: "dsm: ping-pong stalled", ops: 4},
+	} {
+		min, res := Shrink(Generate(tc.seed), tc.maxRuns)
+		if f := res.Failures; len(f) == 0 || f[0].Oracle != tc.oracle || !strings.Contains(f[0].Detail, tc.want) {
+			t.Errorf("seed %d: shrink result is not the %s %q failure: %+v", tc.seed, tc.oracle, tc.want, f)
+		}
+		if len(min.Ops) != tc.ops {
+			t.Errorf("seed %d: shrunk to %d ops, want %d", tc.seed, len(min.Ops), tc.ops)
+		}
+		if again := guardedRun(min); again.Fingerprint() != res.Fingerprint() {
+			t.Errorf("seed %d: rerun of the minimized scenario differs:\n%s\nwant:\n%s", tc.seed, again.Fingerprint(), res.Fingerprint())
+		}
 	}
-	if len(min.Ops) >= len(sc.Ops) {
-		t.Fatalf("shrink kept all %d ops", len(sc.Ops))
-	}
-	func() {
-		defer func() {
-			if p := recover(); p == nil || fmt.Sprint(p) != msg {
-				t.Fatalf("Run of the minimized scenario panicked with %v, want %q", p, msg)
-			}
-		}()
-		Run(min, nil)
-	}()
 }
