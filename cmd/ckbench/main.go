@@ -11,18 +11,17 @@
 //	a1    ablation: reverse-TLB vs two-stage signal delivery
 //	a7    ablation: LRU vs application-controlled database paging
 //	rec   crash-recovery latency under a scripted Cache Kernel crash
-//	      (opt-in: not part of "all", like -hostperf)
+//	      (opt-in: not part of "all"; with -json writes
+//	      BENCH_recovery.json)
 //	orch  live cross-MPM kernel migration blackout under a rolling
 //	      upgrade (opt-in; with -json writes BENCH_orchestration.json)
 //	fork  whole-machine snapshot/fork cost: boot-vs-fork host time, COW
 //	      fault cost, snapshot size (opt-in; with -json writes
 //	      BENCH_fork.json)
 //
-// -hostperf instead measures host-side simulator throughput (virtual
-// results are unaffected by it); with -json the report is also written
-// to BENCH_hostperf.json — and -exp rec / -exp orch write
-// BENCH_recovery.json / BENCH_orchestration.json — for comparison
-// across commits (see EXPERIMENTS.md).
+// An unknown name is an error (exit 2). Host-side simulator throughput
+// is measured by perfbench and the go test benchmarks, not here (see
+// EXPERIMENTS.md).
 package main
 
 import (
@@ -30,31 +29,40 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"vpp/internal/exp"
-	"vpp/internal/sim"
 	"vpp/internal/simk"
 )
+
+// experiments are the section names -exp accepts besides "all".
+var experiments = []string{"t1", "t2", "s52a", "s52b", "s52c", "a1", "a7", "rec", "orch", "fork"}
+
+// parseExp splits the comma-separated -exp list into the set of names
+// to run, rejecting any name that is neither "all" nor an experiment.
+func parseExp(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name != "all" && !slices.Contains(experiments, name) {
+			return nil, fmt.Errorf("unknown experiment %q; valid: all, %s", name, strings.Join(experiments, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
+}
 
 func main() {
 	expFlag := flag.String("exp", "all", "experiments to run (comma separated)")
 	full := flag.Bool("full", false, "use the paper's full 65536-descriptor pool in s52b (slower)")
-	hostperf := flag.Bool("hostperf", false, "measure host-side simulator throughput instead of running experiments")
-	jsonOut := flag.Bool("json", false, "with -hostperf or -exp rec, also write the BENCH_*.json report")
+	jsonOut := flag.Bool("json", false, "with -exp rec, orch or fork, also write that experiment's BENCH_*.json report")
 	flag.Parse()
 
-	if *hostperf {
-		if err := runHostperf(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	want := map[string]bool{}
-	for _, name := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(name)] = true
+	want, err := parseExp(*expFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ckbench:", err)
+		os.Exit(2)
 	}
 	all := want["all"]
 	failed := false
@@ -116,8 +124,8 @@ func main() {
 			fmt.Println(res)
 		}
 	}
-	// Opt-in like -hostperf: the scripted crash perturbs nothing when
-	// not requested, and "all" output stays byte-stable across commits.
+	// Opt-in: the scripted crash perturbs nothing when not requested,
+	// and "all" output stays byte-stable across commits.
 	if want["rec"] {
 		fmt.Printf("=== REC: crash recovery latency (paper §3: all Cache Kernel state is regenerable) ===\n")
 		res, err := exp.RunRecoveryWorkload(nil, 1)
@@ -169,83 +177,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runHostperf measures host throughput and prints the report; with
-// writeJSON it also records BENCH_hostperf.json in the current
-// directory.
-func runHostperf(writeJSON bool) error {
-	r, err := exp.MeasureHostperf()
-	if err != nil {
-		return err
-	}
-
-	// Under -tags cksan the measurement does not replace the clean
-	// baseline: it is merged into the existing report as the Cksan
-	// overhead section, so one BENCH_hostperf.json carries both builds.
-	if sim.SanEnabled() {
-		base, err := readHostperfBaseline()
-		if err != nil {
-			return fmt.Errorf("cksan hostperf needs a clean baseline; run a clean `ckbench -hostperf -json` first (%v)", err)
-		}
-		base.Cksan = &exp.HostperfCksan{
-			EngineStepsPerSec:  r.EngineStepsPerSec,
-			TranslateNsPerOp:   r.TranslateNsPerOp,
-			HostNsPerSimMicro:  r.HostNsPerSimMicro,
-			EngineStepOverhead: ratio(base.EngineStepsPerSec, r.EngineStepsPerSec),
-			TranslateOverhead:  ratio(r.TranslateNsPerOp, base.TranslateNsPerOp),
-			BootOverhead:       ratio(r.HostNsPerSimMicro, base.HostNsPerSimMicro),
-		}
-		fmt.Print(r)
-		fmt.Printf("cksan overhead vs clean:  engine step %.2fx, translate %.2fx, boot %.2fx\n",
-			base.Cksan.EngineStepOverhead, base.Cksan.TranslateOverhead, base.Cksan.BootOverhead)
-		if writeJSON {
-			return writeHostperf(base)
-		}
-		return nil
-	}
-
-	// A clean run refreshes the baseline but keeps any previously
-	// recorded sanitizer section until the next cksan run replaces it.
-	if old, err := readHostperfBaseline(); err == nil {
-		r.Cksan = old.Cksan
-	}
-	fmt.Print(r)
-	if writeJSON {
-		return writeHostperf(r)
-	}
-	return nil
-}
-
-func readHostperfBaseline() (exp.HostperfReport, error) {
-	var base exp.HostperfReport
-	b, err := os.ReadFile("BENCH_hostperf.json")
-	if err != nil {
-		return base, err
-	}
-	if err := json.Unmarshal(b, &base); err != nil {
-		return base, err
-	}
-	return base, nil
-}
-
-func writeHostperf(r exp.HostperfReport) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_hostperf.json", append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_hostperf.json")
-	return nil
-}
-
-// ratio guards the overhead divisions against a zero denominator from a
-// degenerate measurement.
-func ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

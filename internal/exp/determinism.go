@@ -20,9 +20,9 @@ func RunDeterminismWorkload(trace func(name string, at uint64), shards int) (fin
 	return RunDeterminismWorkloadCut(trace, shards, 0, nil)
 }
 
-// RunDeterminismWorkloadCut is the replay-fork form of the determinism
-// workload (snap.CutFunc): it pauses at virtual time cut for the pause
-// hook before running to completion.
+// RunDeterminismWorkloadCut is the cut form of the determinism
+// workload: it pauses at virtual time cut for the pause hook before
+// running to completion (cut 0 with a nil pause is the plain run).
 func RunDeterminismWorkloadCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = 2

@@ -22,9 +22,9 @@ func RunBootEchoWorkload(trace func(name string, at uint64), shards int) (finalC
 	return RunBootEchoWorkloadCut(trace, shards, 0, nil)
 }
 
-// RunBootEchoWorkloadCut is the replay-fork form of the boot/echo
-// workload (snap.CutFunc): it pauses at virtual time cut for the pause
-// hook before running to completion.
+// RunBootEchoWorkloadCut is the cut form of the boot/echo workload: it
+// pauses at virtual time cut for the pause hook before running to
+// completion (cut 0 with a nil pause is the plain run).
 func RunBootEchoWorkloadCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.Shards = shards

@@ -1,23 +1,44 @@
 package exp
 
 import (
+	"slices"
 	"testing"
 
 	"vpp/internal/ck"
+	"vpp/internal/hw"
 	"vpp/internal/simtest"
 	"vpp/internal/snap"
 )
 
-// TestForkEquivalenceMatrix is the replay-tier fork oracle over every
-// golden workload: run from boot recording the full dispatch trace,
-// then "fork" — rebuild, re-run silently to a mid-trace cut, verify the
-// machine state digest matches the parent's at the cut — and check the
-// forked continuation's trace is byte-identical to the golden run's
-// tail. Serial and four-shard, for each of the five golden families.
+// cutWorkload is the cut form every golden workload offers: run to
+// virtual time cut, call pause once, then run to completion.
+type cutWorkload func(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (finalClock, steps uint64, err error)
+
+// dispatch is one schedule-trace record.
+type dispatch struct {
+	name string
+	at   uint64
+}
+
+// recordCut runs w to completion, recording every dispatch and, at the
+// pause, the trace index and the machine state digest.
+func recordCut(w cutWorkload, shards int, cut uint64) (trace []dispatch, cutIndex int, digest uint64, err error) {
+	_, _, err = w(func(name string, at uint64) { trace = append(trace, dispatch{name, at}) }, shards, cut,
+		func(m *hw.Machine) { cutIndex, digest = len(trace), m.StateDigest() })
+	return trace, cutIndex, digest, err
+}
+
+// TestForkEquivalenceMatrix is the fork oracle for a machine paused
+// mid-trace, over every golden workload. Such a machine cannot be
+// snapshotted structurally, so a fork is a rebuild from the recipe: run
+// twice to a mid-trace cut, and require the second run to reach the
+// same machine state digest at the cut and the same dispatch tail
+// after it. Serial and four-shard, for each of the five golden
+// families.
 func TestForkEquivalenceMatrix(t *testing.T) {
 	cases := []struct {
 		name string
-		w    snap.CutFunc
+		w    cutWorkload
 	}{
 		{"determinism", RunDeterminismWorkloadCut},
 		{"boot_echo", RunBootEchoWorkloadCut},
@@ -41,21 +62,22 @@ func TestForkEquivalenceMatrix(t *testing.T) {
 				t.Fatalf("no mid-trace cut in %d dispatches", len(ats))
 			}
 			for _, shards := range []int{1, 4} {
-				r := snap.Replay{Workload: tc.w, Shards: shards, Cut: cut}
-				full, err := r.RunFull()
+				parent, pi, pd, err := recordCut(tc.w, shards, cut)
 				if err != nil {
-					t.Fatalf("shards=%d: full run: %v", shards, err)
+					t.Fatalf("shards=%d: parent run: %v", shards, err)
 				}
-				if full.CutIndex == 0 || full.CutIndex == len(full.Trace) {
-					t.Fatalf("shards=%d: cut %d not mid-trace (index %d of %d dispatches)",
-						shards, r.Cut, full.CutIndex, len(full.Trace))
+				if pi == 0 || pi == len(parent) {
+					t.Fatalf("shards=%d: cut %d not mid-trace (index %d of %d dispatches)", shards, cut, pi, len(parent))
 				}
-				tail, err := r.RunFork(full.Digest)
+				fork, fi, fd, err := recordCut(tc.w, shards, cut)
 				if err != nil {
 					t.Fatalf("shards=%d: forked run: %v", shards, err)
 				}
-				if err := snap.TailEqual(full.Trace[full.CutIndex:], tail); err != nil {
-					t.Fatalf("shards=%d: forked tail differs from golden tail: %v", shards, err)
+				if fd != pd {
+					t.Fatalf("shards=%d: fork diverged from parent at cut %d: state digest %#x, want %#x", shards, cut, fd, pd)
+				}
+				if !slices.Equal(parent[pi:], fork[fi:]) {
+					t.Fatalf("shards=%d: forked tail (%d dispatches) differs from parent tail (%d)", shards, len(fork)-fi, len(parent)-pi)
 				}
 			}
 		})

@@ -164,8 +164,9 @@ func RunOrchestrationTrace(trace func(name string, at uint64), shards int) (uint
 	return res.FinalClock, res.Steps, err
 }
 
-// RunOrchestrationTraceCut adapts RunOrchestrationWorkloadCut to
-// snap.CutFunc.
+// RunOrchestrationTraceCut adapts RunOrchestrationWorkloadCut to the
+// cut-workload signature of the golden runs: (final clock, schedule
+// steps, error).
 func RunOrchestrationTraceCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
 	res, err := RunOrchestrationWorkloadCut(trace, shards, cut, pause)
 	return res.FinalClock, res.Steps, err

@@ -209,7 +209,8 @@ func RunRecoveryTrace(trace func(name string, at uint64), shards int) (uint64, u
 	return res.FinalClock, res.Steps, err
 }
 
-// RunRecoveryTraceCut adapts RunRecoveryWorkloadCut to snap.CutFunc.
+// RunRecoveryTraceCut adapts RunRecoveryWorkloadCut to the cut-workload
+// signature of the golden runs: (final clock, schedule steps, error).
 func RunRecoveryTraceCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
 	res, err := RunRecoveryWorkloadCut(trace, shards, cut, pause)
 	return res.FinalClock, res.Steps, err

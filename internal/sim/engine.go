@@ -230,10 +230,6 @@ func (e *Engine) Now() uint64 {
 // shard counts.
 func (e *Engine) Steps() uint64 { return e.sched }
 
-// Decisions reports raw scheduling decisions, including preemption
-// re-slices; this is the count MaxSteps bounds.
-func (e *Engine) Decisions() uint64 { return e.steps }
-
 // SchedTime reports the latest schedule-point time (event execution or
 // activation) seen so far. Unlike Now, which preemption re-slices also
 // advance, this is a property of the simulated schedule and therefore

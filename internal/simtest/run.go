@@ -408,8 +408,8 @@ func SeedWorkload(seed uint64) func(trace func(name string, at uint64), shards i
 	}
 }
 
-// SeedWorkloadCut adapts one seed to the replay fork tier
-// (snap.CutFunc): like SeedWorkload but pausing at the cut.
+// SeedWorkloadCut adapts one seed to the cut-workload signature of the
+// golden runs: like SeedWorkload but pausing at the cut.
 func SeedWorkloadCut(seed uint64) func(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
 	return func(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
 		r := RunCut(Generate(seed), trace, shards, cut, pause)

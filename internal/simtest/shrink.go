@@ -19,7 +19,7 @@ func Shrink(sc Scenario, maxRuns int) (Scenario, *Result) {
 	if !bestRes.Failed() {
 		return best, bestRes
 	}
-	wantPanic, panicked := bestRes.Panic()
+	want := bestRes
 	runs := 0
 	// try runs c within the budget and adopts it when it still fails
 	// the same way.
@@ -29,8 +29,7 @@ func Shrink(sc Scenario, maxRuns int) (Scenario, *Result) {
 		}
 		runs++
 		r := guardedRun(c)
-		msg, p := r.Panic()
-		if !r.Failed() || p != panicked || msg != wantPanic {
+		if !sameFailure(want, r) {
 			return false
 		}
 		best, bestRes = c, r
@@ -90,6 +89,15 @@ func Shrink(sc Scenario, maxRuns int) (Scenario, *Result) {
 		}
 	}
 	return best, bestRes
+}
+
+// sameFailure reports whether a candidate's result got still fails the
+// way the original result want did: it fails, it panics exactly when
+// want panicked, and then with the same message.
+func sameFailure(want, got *Result) bool {
+	wantMsg, wantPanic := want.Panic()
+	msg, panicked := got.Panic()
+	return got.Failed() && panicked == wantPanic && msg == wantMsg
 }
 
 // guardedRun runs sc serially, turning a panic into a PanicResult so

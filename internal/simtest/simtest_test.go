@@ -111,6 +111,36 @@ func TestShrinkKeepsFailing(t *testing.T) {
 	}
 }
 
+// TestShrinkSameFailure pins the shrinker's acceptance rule: a
+// candidate is kept only if it fails the same way as the original. A
+// panic must keep its message, and a non-panicking failure must reject
+// a candidate that panics, which is a different defect.
+func TestShrinkSameFailure(t *testing.T) {
+	var sc Scenario
+	stall := &Result{Failures: []Failure{{Oracle: "op", Detail: "dsm: ping-pong stalled"}}}
+	other := &Result{Failures: []Failure{{Oracle: "conservation", Detail: "alarm listener did not stop"}}}
+	pass := &Result{}
+	dispatch := PanicResult(sc, "ck: dispatch of running thread")
+	nilDeref := PanicResult(sc, "runtime error: invalid memory address or nil pointer dereference")
+	for _, tc := range []struct {
+		name      string
+		want, got *Result
+		same      bool
+	}{
+		{"failure kept", stall, other, true},
+		{"failure lost", stall, pass, false},
+		{"failure turned panic", stall, dispatch, false},
+		{"panic kept", dispatch, PanicResult(sc, "ck: dispatch of running thread"), true},
+		{"panic message changed", dispatch, nilDeref, false},
+		{"panic turned failure", dispatch, stall, false},
+		{"panic lost", dispatch, pass, false},
+	} {
+		if got := sameFailure(tc.want, tc.got); got != tc.same {
+			t.Errorf("%s: sameFailure = %v, want %v", tc.name, got, tc.same)
+		}
+	}
+}
+
 // TestShrinkPanickingSeed shrinks one seed of each known defect class
 // and requires a from-scratch run of the minimized scenario to fail the
 // same way: seed 76 panics with `ck: dispatch of running thread`

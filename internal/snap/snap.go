@@ -4,25 +4,20 @@
 // state, the entire machine can be checkpointed and forked like any
 // cache.
 //
-// Two tiers, matching what the host can and cannot capture:
+// Snapshots are structural (Image / Take / Fork): at a quiescent point
+// — engine drained, no call in flight, no thread descriptor loaded —
+// the machine is pure data. Take captures it completely: descriptor
+// caches in exact LRU/free/generation order, dependency records,
+// reverse TLBs, hardware TLB and L2 contents, local-RAM accounting,
+// clocks, and physical memory frozen into a copy-on-write FrameImage.
+// Fork rebuilds a fresh machine from the image in O(state) — no boot —
+// sharing page frames copy-on-write; a forked machine lazily copies a
+// frame only on first write, so forks are cheap and mutually isolated.
 //
-//   - Structural (Image / Take / Fork): at a quiescent point — engine
-//     drained, no call in flight, no thread descriptor loaded — the
-//     machine is pure data. Take captures it completely: descriptor
-//     caches in exact LRU/free/generation order, dependency records,
-//     reverse TLBs, hardware TLB and L2 contents, local-RAM
-//     accounting, clocks, and physical memory frozen into a
-//     copy-on-write FrameImage. Fork rebuilds a fresh machine from the
-//     image in O(state) — no boot — sharing page frames
-//     copy-on-write; a forked machine lazily copies a frame only on
-//     first write, so forks are cheap and mutually isolated.
-//
-//   - Replay (Replay / RunFull / RunFork): a mid-trace cut can park
-//     coroutines whose stacks the host cannot serialize, so the
-//     snapshot of a non-quiescent machine is its deterministic rebuild
-//     recipe plus the cut time: fork = rebuild, re-run to the cut,
-//     verify the state digest matches the parent's, then diverge. The
-//     fork-equivalence golden matrix runs on this tier.
+// A machine paused mid-trace, with coroutines parked mid-call, is not
+// pure data: a goroutine stack is opaque to the host. Such a cut is
+// reproduced by re-running the deterministic workload to it, which
+// the golden workloads' cut forms and simtest.RunCut do.
 package snap
 
 import (
